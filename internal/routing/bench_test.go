@@ -116,3 +116,20 @@ func BenchmarkWalk(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRouteLoads prices the route-load walk behind every faulted
+// analytic surrogate: a 10×10 mesh with 5 random faults under Nbc.
+func BenchmarkRouteLoads(b *testing.B) {
+	m := topology.New(10, 10)
+	f, err := fault.Generate(m, 5, rand.New(rand.NewSource(1)), fault.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RouteLoads("Nbc", f, 24); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

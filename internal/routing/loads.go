@@ -3,7 +3,6 @@ package routing
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"wormmesh/internal/core"
 	"wormmesh/internal/fault"
@@ -131,42 +130,47 @@ func RouteLoads(name string, f *fault.Model, numVCs int) (*LoadMap, error) {
 	// Pass 1: global per-message loads, mean hops, lost mass. Iterate
 	// destinations in the outer loop so the distance ordering is
 	// computed once per destination.
+	accumulate := func(ch int, mass float64, onRing bool) {
+		lm.Loads[ch] += mass * invPairs
+		lm.MeanHops += mass * invPairs
+		if onRing {
+			lm.RingHops += mass * invPairs
+		}
+	}
 	for _, dst := range healthy {
 		lw.setDst(dst)
 		for _, src := range healthy {
 			if src == dst {
 				continue
 			}
-			lw.walk(src, func(ch int, mass float64, onRing bool) {
-				lm.Loads[ch] += mass * invPairs
-				lm.MeanHops += mass * invPairs
-				if onRing {
-					lm.RingHops += mass * invPairs
-				}
-			})
+			lw.walk(src, accumulate)
 			lm.LostMass += lw.lost * invPairs
 		}
 	}
 
 	// Pass 2: per-pair bottlenecks against the now-complete global
 	// loads. The walk is deterministic, so re-running it reproduces
-	// pass 1's per-pair channel masses exactly.
-	lm.PairBottlenecks = make([]float64, 0, lm.Pairs)
+	// pass 1's per-pair channel masses exactly. Destinations are again
+	// the outer loop (one ordering per destination); each bottleneck
+	// lands in its src-major slot.
+	lm.PairBottlenecks = make([]float64, lm.Pairs)
 	scratch := make([]float64, len(lm.Loads))
 	var touched []int
-	for _, src := range healthy {
-		for _, dst := range healthy {
-			if src == dst {
+	collect := func(ch int, mass float64, onRing bool) {
+		if scratch[ch] == 0 {
+			touched = append(touched, ch)
+		}
+		scratch[ch] += mass
+	}
+	row := len(healthy) - 1
+	for di, dst := range healthy {
+		lw.setDst(dst)
+		for si, src := range healthy {
+			if si == di {
 				continue
 			}
-			lw.setDst(dst)
 			touched = touched[:0]
-			lw.walk(src, func(ch int, mass float64, onRing bool) {
-				if scratch[ch] == 0 {
-					touched = append(touched, ch)
-				}
-				scratch[ch] += mass
-			})
+			lw.walk(src, collect)
 			b := 0.0
 			for _, ch := range touched {
 				if u := scratch[ch] * lm.Loads[ch]; u > b {
@@ -174,7 +178,11 @@ func RouteLoads(name string, f *fault.Model, numVCs int) (*LoadMap, error) {
 				}
 				scratch[ch] = 0
 			}
-			lm.PairBottlenecks = append(lm.PairBottlenecks, b)
+			j := di
+			if di > si {
+				j--
+			}
+			lm.PairBottlenecks[si*row+j] = b
 		}
 	}
 	return lm, nil
@@ -196,6 +204,8 @@ type loadWalker struct {
 	class  core.DirClass // per-source; set in walk
 	normal []float64     // pending normal-mode mass per node
 	order  []topology.NodeID
+	dist   []int // per-node distance to dst, scratch for setDst
+	start  []int // per-distance bucket cursor, scratch for setDst
 	dirs   []topology.Direction
 	lost   float64
 
@@ -221,30 +231,43 @@ func newLoadWalker(w *bcWrapper) *loadWalker {
 		topo:      topo,
 		n:         n,
 		normal:    make([]float64, n),
-		order:     make([]topology.NodeID, 0, n),
+		order:     make([]topology.NodeID, n),
+		dist:      make([]int, n),
 		maxDetour: 4*topo.Diameter() + 4*ringLen + 8,
 		maxRounds: 4 + 4*len(w.faults.Rings()),
 	}
 }
 
 // setDst fixes the destination and rebuilds the processing order:
-// nodes sorted by decreasing minimal distance to dst (ties by ID for
-// determinism).
+// nodes by decreasing minimal distance to dst, ties by ascending ID. A
+// counting pass over the distances builds it in O(n): each distance
+// gets a contiguous bucket, filled in ID order.
 func (lw *loadWalker) setDst(dst topology.NodeID) {
 	lw.dst = dst
-	lw.order = lw.order[:0]
 	dc := lw.topo.CoordOf(dst)
-	for id := topology.NodeID(0); int(id) < lw.n; id++ {
-		lw.order = append(lw.order, id)
+	maxDist := 0
+	for id := range lw.dist {
+		d := lw.topo.Distance(lw.topo.CoordOf(topology.NodeID(id)), dc)
+		lw.dist[id] = d
+		maxDist = max(maxDist, d)
 	}
-	dist := func(id topology.NodeID) int { return lw.topo.Distance(lw.topo.CoordOf(id), dc) }
-	sort.SliceStable(lw.order, func(i, j int) bool {
-		di, dj := dist(lw.order[i]), dist(lw.order[j])
-		if di != dj {
-			return di > dj
-		}
-		return lw.order[i] < lw.order[j]
-	})
+	// start[d] is bucket d's next free slot; farther buckets come first.
+	if len(lw.start) <= maxDist {
+		lw.start = make([]int, maxDist+1)
+	}
+	start := lw.start[:maxDist+1]
+	clear(start)
+	for _, d := range lw.dist {
+		start[d]++
+	}
+	next := 0
+	for d := maxDist; d >= 0; d-- {
+		next, start[d] = next+start[d], next
+	}
+	for id, d := range lw.dist {
+		lw.order[start[d]] = topology.NodeID(id)
+		start[d]++
+	}
 }
 
 // emitFunc receives one expected channel traversal: ch is the flat

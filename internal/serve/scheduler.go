@@ -154,21 +154,54 @@ type Scheduler struct {
 	windowCycles int64 // per-job WindowSampler window; 0 disables
 	logger       *slog.Logger
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	queue      jobQueue
-	jobs       map[string]*Job // queued or running, by key
-	retired    map[string]*Job // recently failed, for status endpoints
-	retireRing []string        // FIFO eviction of retired
-	seq        int64
-	avgSecs    float64 // EWMA of completed job durations
-	closed     bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   jobQueue
+	jobs    map[string]*Job // queued or running, by key
+	retired jobRing         // recently failed, for status endpoints
+	// completed holds recently succeeded jobs so a duplicate whose
+	// cache lookup missed just before the job stored its entry still
+	// joins it instead of simulating again.
+	completed jobRing
+	seq       int64
+	avgSecs   float64 // EWMA of completed job durations
+	closed    bool
 
 	wg sync.WaitGroup
 }
 
+// jobRing keeps the most recently filed jobs by key, evicting the
+// oldest past its bound. The Scheduler's mu guards it.
+type jobRing struct {
+	bound int
+	byKey map[string]*Job
+	order []string // FIFO of filed keys
+}
+
+func newJobRing(bound int) jobRing {
+	return jobRing{bound: bound, byKey: make(map[string]*Job)}
+}
+
+func (r *jobRing) add(j *Job) {
+	r.byKey[j.Key] = j
+	r.order = append(r.order, j.Key)
+	for len(r.order) > r.bound {
+		old := r.order[0]
+		r.order = r.order[1:]
+		if r.byKey[old] != j {
+			delete(r.byKey, old)
+		}
+	}
+}
+
 // retiredJobs bounds how many failed jobs stay queryable.
 const retiredJobs = 1024
+
+// completedJobs bounds how many succeeded jobs stay joinable. A
+// duplicate only needs its job for the moment between its cache lookup
+// and its Submit, so a short ring suffices; it also caps the results
+// kept alive beyond the cache's own bound.
+const completedJobs = 64
 
 // NewScheduler starts `workers` goroutines draining a queue bounded at
 // maxQueue (256 when <= 0). Completed jobs are filed into cache; the
@@ -184,15 +217,16 @@ func NewScheduler(cache *Cache, workers, maxQueue int, pool *sim.RunnerPool, met
 		pool = sim.NewRunnerPool(workers)
 	}
 	s := &Scheduler{
-		cache:   cache,
-		met:     met,
-		pool:    pool,
-		workers: workers,
-		maxQ:    maxQueue,
-		run:     func(r *sim.Runner, p sim.Params) (sim.Result, error) { return r.Run(p) },
-		jobs:    make(map[string]*Job),
-		retired: make(map[string]*Job),
-		logger:  slog.New(slog.DiscardHandler),
+		cache:     cache,
+		met:       met,
+		pool:      pool,
+		workers:   workers,
+		maxQ:      maxQueue,
+		run:       func(r *sim.Runner, p sim.Params) (sim.Result, error) { return r.Run(p) },
+		jobs:      make(map[string]*Job),
+		retired:   newJobRing(retiredJobs),
+		completed: newJobRing(completedJobs),
+		logger:    slog.New(slog.DiscardHandler),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < workers; i++ {
@@ -203,9 +237,11 @@ func NewScheduler(cache *Cache, workers, maxQueue int, pool *sim.RunnerPool, met
 }
 
 // Submit schedules a simulation for key (already normalized Params).
-// If an identical job is queued or running, that job is returned with
-// joined=true and nothing is enqueued — the singleflight guarantee that
-// N concurrent misses on one key cost one simulation. A full queue
+// If an identical job is queued, running or recently completed, that
+// job is returned with joined=true and nothing is enqueued — the
+// singleflight guarantee that N concurrent misses on one key cost one
+// simulation, even for a miss whose Submit arrives after the job it
+// raced has finished. A full queue
 // returns ErrQueueFull. tc is the submitting request's trace context;
 // the worker backfills the job's queue.wait/run/store.write spans under
 // it (pass the zero Context for untraced submissions).
@@ -215,7 +251,11 @@ func (s *Scheduler) Submit(key string, np sim.Params, priority int, tc trace.Con
 	if s.closed {
 		return nil, false, errors.New("serve: scheduler closed")
 	}
-	if j, ok := s.jobs[key]; ok {
+	j, ok := s.jobs[key]
+	if !ok {
+		j, ok = s.completed.byKey[key]
+	}
+	if ok {
 		if s.met != nil {
 			s.met.Deduplicated.Inc()
 		}
@@ -228,7 +268,7 @@ func (s *Scheduler) Submit(key string, np sim.Params, priority int, tc trace.Con
 		return nil, false, ErrQueueFull
 	}
 	s.seq++
-	j := &Job{
+	j = &Job{
 		Key:      key,
 		Params:   np,
 		Priority: priority,
@@ -242,7 +282,7 @@ func (s *Scheduler) Submit(key string, np sim.Params, priority int, tc trace.Con
 	if s.met != nil {
 		s.met.QueueDepth.Set(int64(len(s.queue)))
 	}
-	delete(s.retired, key) // a resubmit supersedes an old failure
+	delete(s.retired.byKey, key) // a resubmit supersedes an old failure
 	s.cond.Signal()
 	return j, false, nil
 }
@@ -255,7 +295,7 @@ func (s *Scheduler) Job(key string) *Job {
 	if j, ok := s.jobs[key]; ok {
 		return j
 	}
-	return s.retired[key]
+	return s.retired.byKey[key]
 }
 
 // QueueDepth returns how many jobs are waiting for a worker.
@@ -428,13 +468,14 @@ func (s *Scheduler) worker() {
 			j.state = JobDone
 			j.entry, j.body = entry, body
 		}
-		close(j.done)
 		j.mu.Unlock()
 
 		s.mu.Lock()
 		delete(s.jobs, j.Key)
 		if err != nil {
-			s.retire(j)
+			s.retired.add(j)
+		} else {
+			s.completed.add(j)
 		}
 		const ewma = 0.2
 		if s.avgSecs == 0 {
@@ -449,6 +490,10 @@ func (s *Scheduler) worker() {
 			}
 		}
 		s.mu.Unlock()
+		// Wake waiters only after the bookkeeping above, so whoever
+		// sees Done closed finds the job out of the queued/running set
+		// and its counters final.
+		close(j.done)
 	}
 }
 
@@ -493,19 +538,6 @@ func toWindowPoints(s *core.WindowSampler) []trace.WindowPoint {
 		}
 	}
 	return out
-}
-
-// retire files a failed job for later status queries (caller holds mu).
-func (s *Scheduler) retire(j *Job) {
-	s.retired[j.Key] = j
-	s.retireRing = append(s.retireRing, j.Key)
-	for len(s.retireRing) > retiredJobs {
-		old := s.retireRing[0]
-		s.retireRing = s.retireRing[1:]
-		if s.retired[old] != j {
-			delete(s.retired, old)
-		}
-	}
 }
 
 // Close drains the queue, waits for in-flight jobs, and releases the

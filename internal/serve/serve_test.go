@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"wormmesh/internal/sim"
+	"wormmesh/internal/trace"
 )
 
 // quickParams is a cell small enough for handler tests: a 6×6 mesh,
@@ -252,6 +253,59 @@ func TestSingleflight(t *testing.T) {
 		if !bytes.Equal(bodies[i], bodies[0]) {
 			t.Fatalf("caller %d read different bytes", i)
 		}
+	}
+}
+
+// TestSingleflightAfterCompletion forces the lookup/submit gap: a
+// duplicate misses the cache while the original job is still running,
+// then reaches Submit only after that job has stored its entry and left
+// the queued/running set. It must join the finished job, not simulate
+// the cell a second time.
+func TestSingleflightAfterCompletion(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	var sims atomic.Int64
+	release := make(chan struct{})
+	inner := s.sched.run
+	s.sched.run = func(r *sim.Runner, p sim.Params) (sim.Result, error) {
+		sims.Add(1)
+		<-release
+		return inner(r, p)
+	}
+	key, np, err := Key(quickParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, joined, err := s.sched.Submit(key, np, 0, trace.Context{})
+	if err != nil || joined {
+		t.Fatalf("first Submit: joined=%v err=%v", joined, err)
+	}
+	// The duplicate's lookup, before the original stores its entry.
+	if _, _, _, ok := s.cache.GetTagged(key); ok {
+		t.Fatal("cache hit before the job ran")
+	}
+	close(release)
+	<-first.Done() // the job has stored its entry and left s.jobs
+	if n := s.sched.InFlight(); n != 0 {
+		t.Fatalf("%d jobs in flight after Done", n)
+	}
+	// The duplicate's Submit, after the job has left the scheduler.
+	dup, joined, err := s.sched.Submit(key, np, 0, trace.Context{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !joined || dup != first {
+		t.Fatalf("duplicate Submit after completion: joined=%v, same job=%v", joined, dup == first)
+	}
+	<-dup.Done()
+	_, want, err := first.Outcome()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got, _ := dup.Outcome(); !bytes.Equal(got, want) {
+		t.Error("duplicate read different bytes")
+	}
+	if n := sims.Load(); n != 1 {
+		t.Errorf("ran %d simulations, want 1", n)
 	}
 }
 

@@ -70,10 +70,11 @@ type Server struct {
 	mux *http.ServeMux
 }
 
-// cachedModel memoizes a built surrogate with its saturation knee:
-// faulted table builds cost ~0.2s and the knee bisection runs 60
-// Predicts, while a memoized Predict is microseconds — the difference
-// between a <1ms fast path and a multi-ms one.
+// cachedModel memoizes a built surrogate with its saturation knee: a
+// faulted 10×10 table build costs ~30 ms (analytic.BenchmarkWithFaults
+// on a 2-vCPU Xeon) and the knee bisection runs 60 Predicts, while a
+// memoized Predict is microseconds — the difference between a <1ms
+// fast path and a multi-ms one.
 type cachedModel struct {
 	model analytic.Model
 	knee  float64
@@ -323,9 +324,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // modelAnswer evaluates the analytic surrogate for a normalized cell,
 // or nil where the model doesn't apply (torus, unmodeled algorithms).
 // Models are memoized per configuration class — the Params with rate,
-// seeds and cycle counts zeroed — because a faulted table build costs
-// ~0.2s while a memoized Predict is microseconds, and every rate on one
-// curve shares a class.
+// seeds and cycle counts zeroed — because a faulted 10×10 table build
+// costs ~30 ms while a memoized Predict is microseconds, and every rate
+// on one curve shares a class.
 func (s *Server) modelAnswer(np sim.Params) *ModelAnswer {
 	if sweep.HybridSupported(np) != nil {
 		return nil

@@ -3,7 +3,10 @@ package sweep
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"wormmesh/internal/analytic"
 	"wormmesh/internal/routing"
@@ -31,7 +34,8 @@ type HybridCurve struct {
 
 // HybridOptions tunes HybridSweep.
 type HybridOptions struct {
-	// Workers for the simulated batch (0 = NumCPU, as Run).
+	// Workers for the surrogate builds and the simulated batch (0 =
+	// NumCPU, as Run).
 	Workers int
 	// BracketRadius widens the simulated window around the surrogate's
 	// predicted knee k: grid rates in [k/BracketRadius, k·BracketRadius]
@@ -123,6 +127,58 @@ func Surrogate(p sim.Params) (analytic.Model, error) {
 	return mo, nil
 }
 
+// hybridPlan is one curve's screening outcome: its surrogate, the
+// predicted knee and the set of rates scheduled for simulation.
+type hybridPlan struct {
+	curve HybridCurve
+	model analytic.Model
+	knee  float64
+	sim   map[float64]bool
+}
+
+// planHybridCurve validates one curve, builds its surrogate and picks
+// the rates to simulate: those within [knee/radius, knee·radius] plus
+// the pair straddling the knee.
+func planHybridCurve(c HybridCurve, radius float64) (hybridPlan, error) {
+	if len(c.Rates) == 0 {
+		return hybridPlan{}, fmt.Errorf("sweep: hybrid curve %q has no rates", c.Key)
+	}
+	if !sort.Float64sAreSorted(c.Rates) {
+		return hybridPlan{}, fmt.Errorf("sweep: hybrid curve %q rates not ascending", c.Key)
+	}
+	model, err := Surrogate(c.Base)
+	if err != nil {
+		return hybridPlan{}, fmt.Errorf("sweep: curve %q: %w", c.Key, err)
+	}
+	knee := model.SaturationRate()
+	simSet := map[float64]bool{}
+	var below, above float64
+	haveBelow, haveAbove := false, false
+	for _, r := range c.Rates {
+		if r >= knee/radius && r <= knee*radius {
+			simSet[r] = true
+		}
+		if r < knee {
+			below, haveBelow = r, true
+		} else if !haveAbove {
+			above, haveAbove = r, true
+		}
+	}
+	// Always simulate the straddle pair so the measured knee cannot
+	// slip between two model-filled cells.
+	if haveBelow {
+		simSet[below] = true
+	}
+	if haveAbove {
+		simSet[above] = true
+	}
+	if len(simSet) == 0 {
+		// Knee outside the whole grid; anchor on the nearest end.
+		simSet[c.Rates[0]] = true
+	}
+	return hybridPlan{curve: c, model: model, knee: knee, sim: simSet}, nil
+}
+
 // HybridSweep runs an analytic-guided load sweep: per curve the
 // surrogate screens the rate axis in microseconds, predicts the
 // saturation knee, and schedules flit-level simulation only for the
@@ -133,60 +189,50 @@ func Surrogate(p sim.Params) (analytic.Model, error) {
 // the bracket are filled by the surrogate after a single-γ calibration
 // at the lowest simulated stable rate; cells beyond the bracket carry
 // the highest simulated point's plateau. Every point records its
-// provenance in Source.
+// provenance in Source. The per-curve surrogates are built
+// concurrently on the same worker count; the result (and, when several
+// curves are invalid, the error of the first in input order) is the
+// same for every worker count.
 func HybridSweep(curves []HybridCurve, opt HybridOptions) ([]HybridCurveResult, error) {
 	radius := opt.BracketRadius
 	if radius <= 1 {
 		radius = 1.3
 	}
-	type plan struct {
-		curve HybridCurve
-		model analytic.Model
-		knee  float64
-		sim   map[float64]bool
+	// Each plan is a pure function of its curve, written to its own
+	// slot, so scheduling cannot change the plans or which error wins.
+	plans := make([]hybridPlan, len(curves))
+	errs := make([]error, len(curves))
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = runtime.NumCPU()
 	}
-	plans := make([]plan, 0, len(curves))
+	if workers > len(curves) {
+		workers = len(curves)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(curves) {
+					return
+				}
+				plans[i], errs[i] = planHybridCurve(curves[i], radius)
+			}
+		}()
+	}
+	wg.Wait()
 	var points []Point
-	for _, c := range curves {
-		if len(c.Rates) == 0 {
-			return nil, fmt.Errorf("sweep: hybrid curve %q has no rates", c.Key)
+	for i, pl := range plans {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		if !sort.Float64sAreSorted(c.Rates) {
-			return nil, fmt.Errorf("sweep: hybrid curve %q rates not ascending", c.Key)
-		}
-		model, err := Surrogate(c.Base)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: curve %q: %w", c.Key, err)
-		}
-		knee := model.SaturationRate()
-		simSet := map[float64]bool{}
-		var below, above float64
-		haveBelow, haveAbove := false, false
+		c := pl.curve
 		for _, r := range c.Rates {
-			if r >= knee/radius && r <= knee*radius {
-				simSet[r] = true
-			}
-			if r < knee {
-				below, haveBelow = r, true
-			} else if !haveAbove {
-				above, haveAbove = r, true
-			}
-		}
-		// Always simulate the straddle pair so the measured knee cannot
-		// slip between two model-filled cells.
-		if haveBelow {
-			simSet[below] = true
-		}
-		if haveAbove {
-			simSet[above] = true
-		}
-		if len(simSet) == 0 {
-			// Knee outside the whole grid; anchor on the nearest end.
-			simSet[c.Rates[0]] = true
-		}
-		plans = append(plans, plan{curve: c, model: model, knee: knee, sim: simSet})
-		for _, r := range c.Rates {
-			if simSet[r] {
+			if pl.sim[r] {
 				p := c.Base
 				p.Rate = r
 				points = append(points, Point{Key: fmt.Sprintf("%s@%g", c.Key, r), Params: p})

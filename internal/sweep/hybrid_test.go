@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wormmesh/internal/analytic"
@@ -206,6 +207,57 @@ func TestHybridBracketContainsKnee(t *testing.T) {
 		if measured < hc.BracketLo || measured > hc.BracketHi {
 			t.Errorf("%s: measured knee %.5f outside simulated bracket [%.5f, %.5f] (model knee %.5f)",
 				name, measured, hc.BracketLo, hc.BracketHi, hc.Knee)
+		}
+	}
+}
+
+// TestHybridSweepWorkerCountInvariant: surrogates are built and cells
+// simulated on a worker pool, and the outcome must not depend on its
+// size. Elapsed is the only wall-clock field and is cleared first.
+func TestHybridSweepWorkerCountInvariant(t *testing.T) {
+	var curves []HybridCurve
+	for i, alg := range []string{"Nbc", "Duato-Nbc", "PHop", "Minimal-Adaptive"} {
+		base := hybridBase(alg, 24, 3)
+		base.Width, base.Height = 6, 6
+		base.WarmupCycles, base.MeasureCycles = 300, 1200
+		base.FaultSeed = int64(i + 1)
+		curves = append(curves, HybridCurve{Key: alg, Base: base, Rates: kneeGrid(t, base)})
+	}
+	run := func(workers int) []HybridCurveResult {
+		res, err := HybridSweep(curves, HybridOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for _, hc := range res {
+			for i := range hc.Points {
+				hc.Points[i].Result.Elapsed = 0
+			}
+		}
+		return res
+	}
+	if one, four := run(1), run(4); !reflect.DeepEqual(one, four) {
+		t.Error("HybridSweep results differ between 1 and 4 workers")
+	}
+}
+
+// TestHybridSweepFirstBadCurveInOrder: with several invalid curves the
+// error names the first in input order, whichever worker finished
+// first.
+func TestHybridSweepFirstBadCurveInOrder(t *testing.T) {
+	good := hybridBase("Minimal-Adaptive", 12, 0)
+	unsupported := hybridBase("Boura-FT", 12, 2)
+	curves := []HybridCurve{
+		{Key: "good", Base: good, Rates: []float64{0.001, 0.002}},
+		{Key: "first", Base: unsupported, Rates: []float64{0.001}},
+		{Key: "second", Base: good},
+		{Key: "third", Base: good, Rates: []float64{0.01, 0.005}},
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for rep := 0; rep < 5; rep++ {
+			_, err := HybridSweep(curves, HybridOptions{Workers: workers})
+			if !errors.Is(err, analytic.ErrUnsupported) || !strings.Contains(err.Error(), `"first"`) {
+				t.Fatalf("workers=%d: err = %v, want curve \"first\"'s ErrUnsupported", workers, err)
+			}
 		}
 	}
 }
